@@ -80,7 +80,8 @@ Robustness knobs (all byte-identity preserving):
   measurement plane's task keys.
 
 Exit codes are stable for shell scripting and defined once as
-:class:`repro.core.errors.ExitCode`: 0 on success, 2 for an invalid
+:class:`repro.core.errors.ExitCode`: 0 on success (also when the reader
+closes stdout early, as ``repro run | head -1`` does), 2 for an invalid
 configuration (:class:`~repro.net.errors.ConfigError`; argparse usage
 errors also exit 2), 3 for a phase-ordering violation
 (:class:`~repro.net.errors.PhaseOrderError`), 4 for a failed supervised
@@ -522,16 +523,20 @@ def _write_metrics(study: Study, args, out) -> None:
             ) from error
 
 
+#: The report ``repro run`` prints, in order, after its timing line.
+RUN_RENDERERS = (
+    render_table4, render_table5, render_table6, render_table10,
+    render_figure2, render_table7, render_figure7, render_figure8,
+    render_figure9, render_table8, render_case_studies, render_intersection,
+)
+
+
 def _cmd_run(args, out) -> int:
     started = time.perf_counter()
     study = _study(args)
     results = study.run()
     out.write(f"study completed in {time.perf_counter() - started:.1f}s\n\n")
-    for renderer in (render_table4, render_table5, render_table6,
-                     render_table10, render_figure2, render_table7,
-                     render_figure7, render_figure8, render_figure9,
-                     render_table8, render_case_studies,
-                     render_intersection):
+    for renderer in RUN_RENDERERS:
         out.write(renderer(results))
         out.write("\n\n")
     _write_metrics(study, args, out)
@@ -806,6 +811,19 @@ _COMMANDS = {
 }
 
 
+def _detach_stdout(out) -> None:
+    """Point a stdout whose reader closed the pipe at the null device, so
+    the interpreter's final flush of the buffered rest stays silent."""
+    if out is not sys.stdout:
+        return
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):
+        pass
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
@@ -816,7 +834,14 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         if spec:
             faults.install(FaultPlan.parse(spec, seed=args.seed))
             installed = True
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
+        out.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro run | head -1``): what it read is
+        # all it wanted, so stop quietly rather than with a traceback.
+        _detach_stdout(out)
+        return EXIT_OK
     except ConfigError as error:
         print(f"repro: configuration error: {error}", file=sys.stderr)
         return EXIT_CONFIG

@@ -137,6 +137,7 @@ class NumpyColumn:
         capacity = len(self._data)
         if needed <= capacity:
             return
+        capacity = max(capacity, 1)  # an empty ``take`` has no buffer
         while capacity < needed:
             capacity *= 2
         grown = np.empty(capacity, dtype=self._data.dtype)

@@ -836,12 +836,13 @@ def _phase_shodan(engine: StudyEngine) -> Dict[str, object]:
 
 
 def _phase_merge(engine: StudyEngine) -> Dict[str, object]:
-    merged = engine.artifact("zmap_db")
-    for name in ("sonar_db", "shodan_db"):
-        other = engine.artifact(name)
-        if other is not None:
-            merged = merged.merge(other)
-    return {"merged_db": merged}
+    zmap = engine.artifact("zmap_db")
+    snapshots = [
+        snapshot
+        for snapshot in map(engine.artifact, ("sonar_db", "shodan_db"))
+        if snapshot is not None
+    ]
+    return {"merged_db": zmap.merge(*snapshots) if snapshots else zmap}
 
 
 def _phase_fingerprint(engine: StudyEngine) -> Dict[str, object]:
@@ -1086,15 +1087,19 @@ def build_study_graph(config: StudyConfig) -> PhaseGraph:
         requires=("schedule", "geo", "asn"),
         group="telescope", run=_phase_telescope, count=_count_telescope,
     ))
+    # The telescope registers its background sources into
+    # ``schedule.registry``, which greynoise, virustotal and exonerator
+    # are built from: they read the registry only after the telescope
+    # ran.  Censys labels population hosts and never reads it.
     graph.register(PhaseSpec(
         name="intel.greynoise", provides=("greynoise",),
-        requires=("schedule",), group="intel", run=_phase_greynoise,
-        optional=True,
+        requires=("schedule", "telescope"), group="intel",
+        run=_phase_greynoise, optional=True,
     ))
     graph.register(PhaseSpec(
         name="intel.virustotal", provides=("virustotal",),
-        requires=("schedule",), group="intel", run=_phase_virustotal,
-        optional=True,
+        requires=("schedule", "telescope"), group="intel",
+        run=_phase_virustotal, optional=True,
     ))
     graph.register(PhaseSpec(
         name="intel.censys", provides=("censys_iot",),
@@ -1104,8 +1109,8 @@ def build_study_graph(config: StudyConfig) -> PhaseGraph:
     ))
     graph.register(PhaseSpec(
         name="intel.exonerator", provides=("exonerator",),
-        requires=("schedule",), group="intel", run=_phase_exonerator,
-        optional=True,
+        requires=("schedule", "telescope"), group="intel",
+        run=_phase_exonerator, optional=True,
     ))
     graph.register(PhaseSpec(
         name="joins", provides=("multistage", "infected"),

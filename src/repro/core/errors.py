@@ -10,7 +10,8 @@ spelling.
 ========  =====================================================
 Code      Meaning
 ========  =====================================================
-0         success
+0         success, also when the reader closes stdout early
+          (``repro run | head -1``)
 2         invalid configuration (``ConfigError``; argparse usage
           errors also exit 2)
 3         phase-ordering violation (``PhaseOrderError``)

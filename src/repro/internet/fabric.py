@@ -114,6 +114,12 @@ class TcpConnection:
 class SimulatedInternet:
     """Address → host routing with loss and observation hooks."""
 
+    #: Bumped by every host attach/detach, so caches derived from the
+    #: host set (the scanner's admitted-address lists) know when a world
+    #: has changed under them.  A class default keeps worlds pickled
+    #: before the counter existed loadable.
+    topology: int = 0
+
     def __init__(
         self,
         hosts: Optional[Iterable[SimulatedHost]] = None,
@@ -147,10 +153,12 @@ class SimulatedInternet:
         if host.address in self._hosts:
             raise ValueError(f"duplicate address {host.address_text}")
         self._hosts[host.address] = host
+        self.topology += 1
 
     def remove_host(self, address: int) -> None:
         """Detach a host (no-op when absent)."""
-        self._hosts.pop(address, None)
+        if self._hosts.pop(address, None) is not None:
+            self.topology += 1
 
     def host_at(self, address: int) -> Optional[SimulatedHost]:
         """The host bound to ``address``, if any."""

@@ -45,6 +45,9 @@ WILL = 0xFB
 SB = 0xFA
 SE = 0xF0
 
+_IAC_BYTE = bytes([IAC])
+_IAC_SE = bytes([IAC, SE])
+
 OPT_ECHO = 0x01
 OPT_SUPPRESS_GO_AHEAD = 0x03
 OPT_TERMINAL_TYPE = 0x18
@@ -68,28 +71,33 @@ def subnegotiate(option: int, payload: bytes) -> bytes:
 
 def strip_iac(data: bytes) -> bytes:
     """Remove IAC commands — triples, subnegotiation blocks, escapes —
-    from a byte stream, leaving the text."""
+    from a byte stream, leaving the text.
+
+    Text between commands is copied a run at a time (``find`` to the
+    next IAC), not a byte at a time.
+    """
     if IAC not in data:
         return data  # pure text: nothing to strip (the common case)
     out = bytearray()
     index = 0
-    while index < len(data):
-        byte = data[index]
-        if byte != IAC:
-            out.append(byte)
-            index += 1
-            continue
-        if index + 1 >= len(data):
-            out.append(byte)  # trailing lone IAC: pass through
-            index += 1
-            continue
+    length = len(data)
+    while index < length:
+        found = data.find(_IAC_BYTE, index)
+        if found < 0:
+            out += data[index:]
+            break
+        out += data[index:found]
+        index = found
+        if index + 1 >= length:
+            out.append(IAC)  # trailing lone IAC: pass through
+            break
         command = data[index + 1]
-        if command in (DO, DONT, WILL, WONT) and index + 2 < len(data):
+        if command in (DO, DONT, WILL, WONT) and index + 2 < length:
             index += 3
         elif command == SB:
             # Skip to IAC SE (or end of data when truncated).
-            end = data.find(bytes([IAC, SE]), index + 2)
-            index = end + 2 if end >= 0 else len(data)
+            end = data.find(_IAC_SE, index + 2)
+            index = end + 2 if end >= 0 else length
         elif command == IAC:
             out.append(IAC)  # escaped 0xFF data byte
             index += 2

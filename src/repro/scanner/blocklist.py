@@ -17,7 +17,7 @@ restores them to the misconfiguration totals.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence, Tuple
 
 from repro.net.geo import GeoRegistry
 from repro.net.ipv4 import RESERVED_BLOCKS, CidrBlock
@@ -44,16 +44,37 @@ class Blocklist:
 
 
 class CidrBlocklist(Blocklist):
-    """Blocks membership in a set of CIDR ranges."""
+    """Blocks membership in a set of CIDR ranges.
+
+    The ``(netmask, network)`` pair of every block is computed once, so a
+    membership test is one mask-and-compare per block.  Lists compare and
+    hash by their blocks: every ``zmap_default_blocklist()`` is the same
+    key, which lets scanners share one admitted-address list per world
+    (see :func:`~repro.scanner.zmap.admitted_addresses`).
+    """
 
     def __init__(self, blocks: Sequence[CidrBlock]) -> None:
-        self._blocks: List[CidrBlock] = list(blocks)
+        self._blocks: Tuple[CidrBlock, ...] = tuple(blocks)
+        self._masks: Tuple[Tuple[int, int], ...] = tuple(
+            (block.netmask, block.network) for block in self._blocks
+        )
 
     def blocks(self, address: int) -> bool:
-        return any(block.contains(address) for block in self._blocks)
+        for mask, network in self._masks:
+            if address & mask == network:
+                return True
+        return False
 
     def __len__(self) -> int:
         return len(self._blocks)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CidrBlocklist):
+            return NotImplemented
+        return self._blocks == other._blocks
+
+    def __hash__(self) -> int:
+        return hash(self._blocks)
 
 
 class GeoBlocklist(Blocklist):

@@ -83,8 +83,15 @@ class DatasetProvider:
     retries: int = 0
 
     def snapshot(self, internet: SimulatedInternet) -> ScanDatabase:
-        """Scan the world with this provider's coverage and publish."""
-        database = ScanDatabase()
+        """Scan the world with this provider's coverage and publish.
+
+        One sweep per protocol, each over the world's blocklist-admitted
+        addresses narrowed to this provider's Bernoulli sample; the
+        per-protocol databases are then joined column-wise in one
+        :meth:`~repro.scanner.records.ScanDatabase.merge` (protocols never
+        collide, so its first-wins dedup keeps every row).
+        """
+        sweeps: List[ScanDatabase] = []
         for protocol, rate in self.coverage.items():
             stream = RandomStream(self.seed, f"dataset.{self.name}.{protocol}")
             included: Set[int] = {
@@ -107,8 +114,8 @@ class DatasetProvider:
             if restrictions is not None:
                 snapshot = snapshot.where(port=restrictions)
             snapshot.set_source(self.name)
-            database.extend(snapshot.iter_rows())
-        return database
+            sweeps.append(snapshot)
+        return ScanDatabase().merge(*sweeps)
 
 
 def project_sonar(seed: int = 7) -> DatasetProvider:

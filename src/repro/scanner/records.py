@@ -494,12 +494,12 @@ class ScanDatabase:
             )
         if predicate is not None:
             tests.append(predicate)
-        selected = ScanDatabase(backend=self.backend)
-        for index in positions:
-            row = ScanRow(self, index)
-            if all(test(row) for test in tests):
-                selected.add(row)
-        return selected
+        if tests:
+            positions = [
+                index for index in positions
+                if all(test(ScanRow(self, index)) for test in tests)
+            ]
+        return self._take(list(positions))
 
     def count_by(
         self, column: str, *, unique: Optional[str] = None
@@ -618,22 +618,35 @@ class ScanDatabase:
         )
         return self._take(order)
 
-    def merge(self, other: "ScanDatabase") -> "ScanDatabase":
-        """Union of two databases, deduplicated on (address, port, protocol).
+    def merge(self, *others: "ScanDatabase") -> "ScanDatabase":
+        """Union of databases, deduplicated on (address, port, protocol).
 
         This is the paper's dataset-correlation step: ZMap results merged
         with Project Sonar / Shodan rows.  The first occurrence wins, so
         our own scan's richer banners are preferred over dataset rows.
+
+        Works on the raw columns: each input's rows are zipped into
+        tuples, the ones whose key is new are kept, and they go into the
+        result in one :meth:`append_batch` per input.
         """
-        seen = set()
+        seen: Set[tuple] = set()
         merged = ScanDatabase(backend=self.backend)
-        for db in (self, other):
-            for row in db.iter_rows():
-                key = (row.address, row.port, row.protocol)
+        for db in (self,) + others:
+            fresh = []
+            for row in db._row_tuples():
+                key = row[:3]
                 if key not in seen:
                     seen.add(key)
-                    merged.add(row)
+                    fresh.append(row)
+            merged.append_batch(fresh)
         return merged
+
+    def _row_tuples(self) -> Iterator[tuple]:
+        """Every row as an ``append_batch`` tuple, straight off the columns."""
+        return zip(
+            self._addresses, self._ports, self._protocols, self._transports,
+            self._banners, self._responses, self._timestamps, self._sources,
+        )
 
     def to_jsonl(self) -> str:
         """Serialize all rows as JSONL."""

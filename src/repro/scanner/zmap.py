@@ -32,7 +32,9 @@ realistic times.
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -71,6 +73,7 @@ __all__ = [
     "InternetScanner",
     "SCAN_START_DAY",
     "scan_start_day",
+    "admitted_addresses",
 ]
 
 #: Appendix Table 9 — scan start day (offset within the scan week) per
@@ -171,6 +174,43 @@ class ScanConfig:
         ShardPlanner(self.shards, self.shard_strategy)
 
 
+#: world -> {blocklist: (world.topology when built, sorted admitted list)}.
+_ADMITTED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_ADMITTED_LOCK = threading.Lock()
+#: Lists kept per world; blocklists that compare by identity (geo and
+#: composite lists) would otherwise accumulate one entry per scanner.
+_ADMITTED_PER_WORLD = 4
+
+
+def admitted_addresses(
+    internet: SimulatedInternet, blocklist: Blocklist
+) -> List[int]:
+    """Sorted addresses of ``internet``'s hosts that ``blocklist`` admits.
+
+    Admission is a property of the world, not of one sweep: the study's
+    own scan and every dataset provider's per-protocol sweep ask for the
+    same list, so it is computed once per world and blocklist and reused
+    until a host is attached or detached (``internet.topology`` moves).
+    Callers must not mutate the returned list.
+    """
+    with _ADMITTED_LOCK:
+        cached = _ADMITTED.setdefault(internet, {})
+        entry = cached.get(blocklist)
+        if entry is not None and entry[0] == internet.topology:
+            return entry[1]
+    topology = internet.topology
+    blocks = blocklist.blocks
+    admitted = sorted(
+        host.address for host in internet.hosts() if not blocks(host.address)
+    )
+    with _ADMITTED_LOCK:
+        cached.pop(blocklist, None)
+        while len(cached) >= _ADMITTED_PER_WORLD:
+            del cached[next(iter(cached))]
+        cached[blocklist] = (topology, admitted)
+    return admitted
+
+
 class InternetScanner:
     """Scans a :class:`SimulatedInternet` for the six study protocols."""
 
@@ -184,8 +224,9 @@ class InternetScanner:
         self.internet = internet
         self.config = config or ScanConfig()
         self.blocklist = blocklist or zmap_default_blocklist()
-        #: Optional predicate(address) -> bool narrowing the sweep; the
-        #: open-dataset providers use it to model partial coverage.
+        #: Optional pure predicate(address) -> bool narrowing the sweep;
+        #: the open-dataset providers use it to model partial coverage.
+        #: It sees blocklist-admitted addresses only.
         self.host_filter = host_filter
         self._source = ip_to_int(self.config.scanner_address)
         self._stream = RandomStream(self.config.seed, "scanner")
@@ -205,11 +246,12 @@ class InternetScanner:
     ) -> ScanDatabase:
         """Sweep + grab for every configured protocol; returns the database.
 
-        This is the sharded pipeline: the blocklist/host-filter admission
-        decision is made once per address per campaign, each protocol's
-        admitted addresses are partitioned into ``config.shards`` shards
-        scanned concurrently, and the shard outputs are merged in
-        canonical ``(address, port, protocol)`` order.  Output is byte-identical
+        This is the sharded pipeline: the world's blocklist-admitted
+        addresses (see :func:`admitted_addresses`) are narrowed by the
+        host filter once per campaign, each protocol's admitted addresses
+        are partitioned into ``config.shards`` shards scanned
+        concurrently, and the shard outputs are merged in canonical
+        ``(address, port, protocol)`` order.  Output is byte-identical
         for every shard count and strategy.
 
         Each (protocol, shard) unit runs as a supervised task: a failure
@@ -309,16 +351,14 @@ class InternetScanner:
     # -- sharded pipeline ----------------------------------------------------
 
     def _allowed_addresses(self) -> List[int]:
-        """Campaign-admitted addresses, sorted — blocklist and host filter
-        evaluated once per address instead of once per (target, protocol)."""
-        blocks = self.blocklist.blocks
+        """Campaign-admitted addresses, sorted: the world's blocklist-admitted
+        list (computed once per world and blocklist), narrowed by the host
+        filter.  Filtering a sorted list keeps it sorted."""
+        admitted = admitted_addresses(self.internet, self.blocklist)
         host_filter = self.host_filter
-        return sorted(
-            host.address
-            for host in self.internet.hosts()
-            if (host_filter is None or host_filter(host.address))
-            and not blocks(host.address)
-        )
+        if host_filter is None:
+            return admitted
+        return [address for address in admitted if host_filter(address)]
 
     def _shard_targets(
         self, protocol: ProtocolId, shard: int, addresses: Sequence[int]

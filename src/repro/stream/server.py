@@ -493,16 +493,22 @@ def _build_handler(server: ControlServer):
             self._chunk(f"event: {event}\ndata: {data}\n\n".encode("utf-8"))
 
         def _ring_tail(self, stream: str, ring: Any, cursor: int):
-            """Tail one ring, surfacing lag as an SSE event, not a skip."""
-            try:
-                return ring.tail(cursor)
-            except CursorLagError as lag:
-                self._sse("lag", {
-                    "stream": stream,
-                    "dropped": lag.dropped,
-                    "oldest": lag.oldest,
-                })
-                return ring.tail(lag.oldest)
+            """Tail one ring, surfacing lag as an SSE event, not a skip.
+
+            An unpaced campaign can evict past the resumed cursor while
+            the ``lag`` frame is being written, so the read is retried
+            until it lands, with one ``lag`` frame per eviction.
+            """
+            while True:
+                try:
+                    return ring.tail(cursor)
+                except CursorLagError as lag:
+                    self._sse("lag", {
+                        "stream": stream,
+                        "dropped": lag.dropped,
+                        "oldest": lag.oldest,
+                    })
+                    cursor = lag.oldest
 
         def _tail(self, service: CampaignService, query: Dict[str, Any]) -> None:
             """Stream events + alerts as chunked server-sent events."""

@@ -163,3 +163,33 @@ class TestRunCommand:
                        "Figure 8", "Figure 9", "Section 5.1",
                        "Section 5.3"):
             assert marker in text, marker
+
+
+class TestVersion:
+    def test_pyproject_version_is_the_package_version(self):
+        """The version lives once, in ``repro.__version__``; pyproject
+        either reads it from there or states the same string."""
+        import os
+
+        import repro
+
+        tomllib = pytest.importorskip("tomllib")
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "pyproject.toml")
+        with open(path, "rb") as handle:
+            pyproject = tomllib.load(handle)
+        static = pyproject["project"].get("version")
+        if static is not None:
+            assert static == repro.__version__
+        else:
+            assert "version" in pyproject["project"]["dynamic"]
+            dynamic = pyproject["tool"]["setuptools"]["dynamic"]
+            assert dynamic["version"] == {"attr": "repro.__version__"}
+
+    def test_version_flag_prints_the_package_version(self, capsys):
+        import repro
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--version"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.strip() == f"repro {repro.__version__}"

@@ -52,13 +52,17 @@ class TestGraphResolution:
         by_wave = {s.name: i for i, wave in enumerate(waves) for s in wave}
         assert by_wave["zmap"] == by_wave["sonar"] == by_wave["shodan"]
 
-    def test_intel_fans_out_with_telescope(self):
+    def test_intel_follows_telescope(self):
+        """The telescope grows ``schedule.registry``; the intel stores
+        built from it must not share its wave."""
         graph = build_study_graph(StudyConfig.quick())
         waves = graph.resolve(graph.artifacts())
         by_wave = {s.name: i for i, wave in enumerate(waves) for s in wave}
-        assert (by_wave["telescope"] == by_wave["intel.greynoise"]
-                == by_wave["intel.virustotal"] == by_wave["intel.censys"]
-                == by_wave["intel.exonerator"])
+        for reader in ("intel.greynoise", "intel.virustotal",
+                       "intel.exonerator"):
+            assert by_wave[reader] > by_wave["telescope"], reader
+        # Censys never reads the registry and still fans out with it.
+        assert by_wave["intel.censys"] == by_wave["telescope"]
 
     def test_partial_targets_exclude_unneeded_phases(self):
         graph = build_study_graph(StudyConfig.quick())
@@ -252,6 +256,41 @@ class TestDeterminismAcrossExecutors:
         threaded.run_scans()
         assert (render_table4(serial.results)
                 == render_table4(threaded.results))
+
+    def test_threaded_process_flags_match_serial_report(self, monkeypatch):
+        """``--threads --shards 2 --attack-workers 2 --executor process``
+        gives the serial report and intel stores.  Registering a telescope
+        background source is slowed, so an intel phase reading the
+        registry while the telescope grows it would see it half-built (or
+        fail iterating it) rather than win the race by luck."""
+        import time
+
+        from repro.attacks.actors import ActorRegistry
+        from repro.cli import RUN_RENDERERS, _study, build_parser
+
+        register = ActorRegistry.register
+
+        def slow_register(self, info):
+            if info.actor == "darknet-background":
+                time.sleep(0.0005)
+            return register(self, info)
+
+        def run(*flags):
+            args = build_parser().parse_args(
+                ["run", "--quick", "--seed", "5", "--no-cache", *flags]
+            )
+            study = _study(args)
+            results = study.run()
+            report = [renderer(results) for renderer in RUN_RENDERERS]
+            intel = [study.engine.artifact(name) for name in
+                     ("greynoise", "virustotal", "exonerator", "censys_iot")]
+            return report, intel
+
+        serial = run()
+        monkeypatch.setattr(ActorRegistry, "register", slow_register)
+        threaded = run("--threads", "--shards", "2", "--attack-workers", "2",
+                       "--executor", "process")
+        assert threaded == serial
 
     def test_custom_executor_instance(self):
         study = Study(quick(41), cache=False,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import re
+import subprocess
+import sys
 
 from repro.core.errors import ExitCode
 
@@ -72,3 +74,26 @@ class TestExitCodeContract:
             assert re.search(
                 rf"^{int(member)} ", table, re.MULTILINE
             ), member
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_early_exits_quietly(self):
+        """``repro run | head -1``: the reader goes away before the report
+        is written; the command ends with 0 and no traceback."""
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "--quick", "--no-cache"],
+            cwd=repo, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # closed before the first report line exists
+        try:
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=300)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert stderr == b""
+        assert code == int(ExitCode.OK)

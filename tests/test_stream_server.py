@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -164,5 +165,64 @@ class TestServerLifecycle:
             status = wait_done(server, campaign_id)
             assert status["batch_size"] == 64
             assert status["state"] == "done"
+        finally:
+            server.shutdown()
+
+
+def read_tail(server, campaign_id, query=""):
+    """(event, data) frames of one SSE tail, read until the server closes
+    it; a tail cut off mid-stream simply ends without its ``end`` frame."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                            timeout=120)
+    frames = []
+    try:
+        connection.request("GET", f"/campaigns/{campaign_id}/tail{query}")
+        response = connection.getresponse()
+        event = None
+        while True:
+            try:
+                line = response.readline().decode()
+            except http.client.IncompleteRead:
+                break
+            if not line:
+                break
+            if line.startswith("event: "):
+                event = line[len("event: "):].strip()
+            elif line.startswith("data: "):
+                frames.append((event, json.loads(line[len("data: "):])))
+    finally:
+        connection.close()
+    return frames
+
+
+class TestTailLag:
+    def test_tiny_ring_unpaced_tails_end_without_duplicates(self):
+        """Unpaced campaigns evict a two-item ring faster than a tail can
+        resume, repeatedly.  Every tail must still end with its ``end``
+        frame, and every event is either delivered once or counted in a
+        ``lag`` frame: delivered + dropped covers sequences 1..total-1."""
+        server = ControlServer(
+            port=0,
+            stream_defaults=StreamConfig(event_capacity=2, alert_capacity=2),
+        ).start()
+        try:
+            for seed in (7, 8, 9):
+                code, started = post(server, "/sim/start", {"seed": seed})
+                campaign_id = started["campaign"]
+                deadline = time.monotonic() + 60
+                while get(server, f"/campaigns/{campaign_id}/status")[1][
+                        "events_streamed"] < 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                # Cursor 1 (not 0, "from the oldest retained") makes the
+                # accounting exact from the first read on.
+                frames = read_tail(server, campaign_id, "?events=1")
+                assert frames and frames[-1][0] == "end", frames[-3:]
+                end = frames[-1][1]
+                delivered = sum(1 for kind, _ in frames if kind == "event")
+                dropped = sum(data["dropped"] for kind, data in frames
+                              if kind == "lag" and data["stream"] == "events")
+                assert delivered + dropped == end["events_total"] - 1
+                assert wait_done(server, campaign_id)["state"] == "done"
         finally:
             server.shutdown()
