@@ -132,8 +132,10 @@ class HoneypotFingerprinter:
         The multistage framework the paper extends performs "sequential
         checks based on the services discovered on the target host"; Kippo
         is an SSH honeypot, so Telnet-only scans never see its banner.  This
-        pass connects to port 22 on each candidate and matches the frozen
-        SSH identification strings.
+        pass connects to port 22 on each candidate that listens there and
+        matches the frozen SSH identification strings; the probes to the
+        other candidates go to the fabric as silent probes, which keep
+        their fault, observer and loss side effects.
         """
         from repro.net.errors import ConnectionRefused, HostUnreachable
 
@@ -146,7 +148,17 @@ class HoneypotFingerprinter:
         ]
         if not ssh_signatures:
             return result
+        listening = internet.listeners(22)
+        addresses = list(addresses)
+        internet.silent_probes(
+            prober_address,
+            ((address, 22) for address in addresses
+             if address not in listening),
+            "tcp",
+        )
         for address in addresses:
+            if address not in listening:
+                continue
             try:
                 connection = internet.tcp_connect(prober_address, address, 22)
             except (HostUnreachable, ConnectionRefused):

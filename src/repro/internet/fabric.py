@@ -12,6 +12,11 @@ It offers the two primitives the study needs:
   refusing when nothing listens;
 * :meth:`udp_query` — a single request/response datagram exchange.
 
+The fabric also owns the rule that a probe to a port with no listener is
+silence, in two forms a sweep can use without probing: :meth:`listeners`
+names the addresses that can answer on a port, and :meth:`silent_probes`
+applies to the rest exactly the side effects their probes would have had.
+
 A configurable probe-loss rate models the packet loss an Internet-wide scan
 actually suffers (ZMap's coverage is famously <100%); it is an ablation knob
 in the benchmarks.
@@ -30,8 +35,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.core.faults import active as _faults_active
 from repro.core.faults import maybe_fail as _maybe_fail
 from repro.internet.host import SimulatedHost
 from repro.net.errors import ConnectionRefused, HostUnreachable
@@ -112,12 +118,19 @@ class TcpConnection:
 
 
 class SimulatedInternet:
-    """Address → host routing with loss and observation hooks."""
+    """Address → host routing with loss and observation hooks.
+
+    An attached host's port table (``host.services``) must stay fixed
+    while the host is attached: :meth:`listeners` indexes it once per
+    topology, so a service added to or removed from an attached host goes
+    unseen by sweeps until the next attach/detach.  Detach, edit and
+    re-attach instead.
+    """
 
     #: Bumped by every host attach/detach, so caches derived from the
-    #: host set (the scanner's admitted-address lists) know when a world
-    #: has changed under them.  A class default keeps worlds pickled
-    #: before the counter existed loadable.
+    #: host set (the scanner's admitted-address lists, the listener
+    #: index) know when a world has changed under them.  A class default
+    #: keeps worlds pickled before the counter existed loadable.
     topology: int = 0
 
     def __init__(
@@ -140,11 +153,26 @@ class SimulatedInternet:
             loss_model = ProbeLossModel(loss_rate, anchor.seed, anchor.name)
         self.loss_model = loss_model
         #: Observers called for every connection attempt: (src, dst, port,
-        #: kind) where kind is "tcp" or "udp".  The telescope and honeypot
-        #: bookkeeping attach here.
+        #: kind) where kind is "tcp" or "udp".  Nothing in the pipeline
+        #: attaches one; they are a hook for tests and instrumentation.
         self.observers: List[Callable[[int, int, int, str], None]] = []
+        #: (topology it was built at, port -> listening addresses); see
+        #: :meth:`listeners`.  Never pickled.
+        self._listeners: Optional[Tuple[int, Dict[int, FrozenSet[int]]]] = None
         for host in hosts or []:
             self.add_host(host)
+
+    # The listener index is derived data: dropping it keeps pickled
+    # worlds (phase-cache and orchestrator store entries) the same size,
+    # and the first sweep after a load rebuilds it.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_listeners", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._listeners = None
 
     # -- topology ----------------------------------------------------------
 
@@ -174,6 +202,29 @@ class SimulatedInternet:
     def __contains__(self, address: int) -> bool:
         return address in self._hosts
 
+    def listeners(self, port: int) -> FrozenSet[int]:
+        """Addresses of the attached hosts with a service on ``port``.
+
+        Every other address is silent on ``port``: dark, refusing, or
+        (for UDP) indistinguishable from either.  The index covers every
+        port in one pass over the hosts, built on first use and again
+        whenever ``topology`` has moved since; see the class docstring
+        for why port tables must not change under an attached host.
+        """
+        index = self._listeners
+        if index is None or index[0] != self.topology:
+            topology = self.topology
+            by_port: Dict[int, set] = {}
+            for address, host in self._hosts.items():
+                for open_port in host.services:
+                    by_port.setdefault(open_port, set()).add(address)
+            index = (
+                topology,
+                {key: frozenset(value) for key, value in by_port.items()},
+            )
+            self._listeners = index
+        return index[1].get(port, frozenset())
+
     # -- data plane ----------------------------------------------------------
 
     def _lost(self, src: int, dst: int, port: int, kind: str) -> bool:
@@ -182,6 +233,38 @@ class SimulatedInternet:
     def _notify(self, src: int, dst: int, port: int, kind: str) -> None:
         for observer in self.observers:
             observer(src, dst, port, kind)
+
+    def silent_probes(
+        self,
+        src: int,
+        flows: Iterable[Tuple[int, int]],
+        kind: str,
+        attempts: int = 1,
+    ) -> None:
+        """Send ``attempts`` probes to each ``(dst, port)`` of ``flows``,
+        none of which has a listener (see :meth:`listeners`).
+
+        Each probe has exactly the side effects a probe to a closed port
+        has in :meth:`try_tcp_connect` / :meth:`udp_query`, in the same
+        order: the ``fabric.connect`` fault check under the same key
+        (which raises like theirs), the observer calls, and the loss
+        model's draw for the flow.  With no fault injector installed, no
+        observer and no loss, a silent probe has no effect at all, so
+        the call returns without reading ``flows`` — pass a generator
+        and an unarmed fabric never builds the silent set.
+        """
+        observers = self.observers
+        lossy = self.loss_rate > 0
+        if _faults_active() is None and not observers and not lossy:
+            return
+        lost = self.loss_model.lost
+        for dst, port in flows:
+            for _ in range(attempts):
+                _maybe_fail("fabric.connect", src, dst, port, kind)
+                for observer in observers:
+                    observer(src, dst, port, kind)
+                if lossy:
+                    lost(src, dst, port, kind)
 
     def tcp_connect(self, src: int, dst: int, port: int) -> TcpConnection:
         """Three-way handshake to ``dst:port``.

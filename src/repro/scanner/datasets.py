@@ -22,6 +22,7 @@ identical nor disjoint).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.internet.fabric import SimulatedInternet
@@ -92,13 +93,10 @@ class DatasetProvider:
         collide, so its first-wins dedup keeps every row).
         """
         sweeps: List[ScanDatabase] = []
+        addresses = [host.address for host in internet.hosts()]
         for protocol, rate in self.coverage.items():
             stream = RandomStream(self.seed, f"dataset.{self.name}.{protocol}")
-            included: Set[int] = {
-                host.address
-                for host in internet.hosts()
-                if stream.bernoulli(min(1.0, rate))
-            }
+            included = _bernoulli_sample(addresses, stream, min(1.0, rate))
             scanner = InternetScanner(
                 internet,
                 ScanConfig(
@@ -116,6 +114,18 @@ class DatasetProvider:
             snapshot.set_source(self.name)
             sweeps.append(snapshot)
         return ScanDatabase().merge(*sweeps)
+
+
+def _bernoulli_sample(
+    addresses: List[int], stream: RandomStream, rate: float
+) -> Set[int]:
+    """The addresses kept by one ``stream.bernoulli(rate)`` draw each, in
+    order — drawn as one batch, which is bit-identical to the per-address
+    calls (see :meth:`~repro.net.prng.RandomStream.uniform_array`)."""
+    draws = stream.uniform_array(len(addresses))
+    if isinstance(draws, list):  # without NumPy the batch is a list
+        return {a for a, draw in zip(addresses, draws) if draw < rate}
+    return set(compress(addresses, (draws < rate).tolist()))
 
 
 def project_sonar(seed: int = 7) -> DatasetProvider:

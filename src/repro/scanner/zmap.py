@@ -2,15 +2,29 @@
 
 The study's pipeline is two-stage, and so is ours:
 
-1. **Reachability sweep** (the per-shard workers) — a stateless SYN/UDP
-   probe per (address, port) establishing which endpoints answer.  In the
-   simulation the candidate set is the fabric's attached hosts; this is
+1. **Reachability sweep** — which (address, port) targets answer.  In the
+   simulation the candidate set is the fabric's attached hosts (this is
    semantically the full IPv4 sweep, since unattached addresses cannot
-   answer and contribute nothing but time.
-2. **Application grab** — for responding TCP endpoints, connect, record
-   the banner, then drive the :func:`~repro.scanner.probes.next_probe`
-   dialogue and record the replies (ZGrab).  UDP endpoints get their reply
-   in stage 1 already, since UDP scanning *is* application probing.
+   answer), and the answer is known without probing:
+   :meth:`~repro.internet.fabric.SimulatedInternet.listeners` indexes the
+   addresses with a service on each port.  :meth:`InternetScanner.run_campaign`
+   splits every shard's targets into answering and silent ones before
+   the shard runs.  The silent probes go to
+   :meth:`~repro.internet.fabric.SimulatedInternet.silent_probes` in one
+   call, which applies what a probe to a closed port does (fault check,
+   observers, loss draw) and is free when none of those is armed.  They
+   still count in ``probes_sent``: one per silent TCP target, one per
+   attempt for a silent UDP target.
+2. **Application grab** — for answering TCP endpoints, connect, record
+   the banner, then send the protocol's probe payloads and record the
+   replies (ZGrab).  UDP endpoints get their reply from the query itself,
+   since UDP scanning *is* application probing.
+
+Probe order cannot change the output: rows are merged in canonical order,
+loss is keyed per flow, and a server's cross-session state is only touched
+by probes to its own (address, port), which one sweep sends at most once
+(TCP) or back to back (UDP retries).  So only the answering targets are
+permuted, and dropping the silent ones from the permutation is invisible.
 
 Campaigns shard like ZMap does: :meth:`InternetScanner.run_campaign`
 partitions the candidate addresses with a
@@ -21,8 +35,9 @@ from a key-derived stream), and merges the results in canonical
 fabric and shard assignment is a pure address function, the merged
 database is byte-identical for every ``K`` — the property
 ``tests/test_sharding.py`` pins down.  :meth:`scan_protocol` keeps the
-original strictly-serial walk as the reference implementation (and the
-differential-testing oracle for the sharded path).
+original strictly-serial walk, which probes every target, as the
+reference implementation (and the differential-testing oracle for the
+indexed, sharded path).
 
 Blocklists are enforced before any probe leaves the scanner, mirroring the
 paper's ethics setup.  The scan date window (Appendix Table 9: March 1-5
@@ -251,8 +266,10 @@ class InternetScanner:
         host filter once per campaign, each protocol's admitted addresses
         are partitioned into ``config.shards`` shards scanned
         concurrently, and the shard outputs are merged in canonical
-        ``(address, port, protocol)`` order.  Output is byte-identical
-        for every shard count and strategy.
+        ``(address, port, protocol)`` order.  Each shard connects only to
+        its targets in the world's listener index and hands the rest to
+        the fabric as silent probes (see the module docstring).  Output
+        is byte-identical for every shard count and strategy.
 
         Each (protocol, shard) unit runs as a supervised task: a failure
         surfaces as :class:`~repro.net.errors.TaskFailure` naming the
@@ -262,25 +279,34 @@ class InternetScanner:
         ``deadline`` arms per-shard wall-time supervision.
         """
         planner = ShardPlanner(self.config.shards, self.config.shard_strategy)
-        allowed = self._allowed_addresses()
-        shards = planner.partition(allowed)
+        shards = [
+            tuple(shard)
+            for shard in planner.partition(self._allowed_addresses())
+        ]
         self.shard_timings = []
         # One merged batch across every (protocol, shard) unit — not one
         # batch per protocol — so the process executor pays its worker
         # bootstrap (pickling the world into each worker) once per
         # campaign instead of once per protocol, and the thread pool can
         # overlap a slow protocol's tail with the next protocol's shards.
-        tasks: List[Tuple[ProtocolId, int]] = []
+        # Each payload carries the shard's answering targets, split off
+        # here against the world's listener index, so workers need none.
         refs = []
+        payloads = []
+        listeners = self.internet.listeners
         for protocol in self.config.protocols:
             protocol_refs = planner.refs(str(protocol))
-            for index in range(len(shards)):
-                tasks.append((protocol, index))
+            ports = DEFAULT_PORTS[protocol]
+            for index, addresses in enumerate(shards):
                 refs.append(protocol_refs[index])
-        payloads = [
-            (protocol, index, tuple(shards[index]))
-            for protocol, index in tasks
-        ]
+                answering = [
+                    (address, port)
+                    for port in ports
+                    for address in sorted(
+                        listeners(port).intersection(addresses)
+                    )
+                ]
+                payloads.append((protocol, index, addresses, answering))
 
         def make_thunk(payload):
             def run_shard() -> Tuple[List[tuple], int, float]:
@@ -305,8 +331,8 @@ class InternetScanner:
         )
 
         rows: List[tuple] = []
-        for (protocol, index), (shard_rows, probes, seconds) in zip(
-            tasks, outcomes
+        for (protocol, index, _, _), (shard_rows, probes, seconds) in zip(
+            payloads, outcomes
         ):
             rows.extend(shard_rows)
             self.probes_sent += probes
@@ -360,35 +386,58 @@ class InternetScanner:
             return admitted
         return [address for address in admitted if host_filter(address)]
 
-    def _shard_targets(
-        self, protocol: ProtocolId, shard: int, addresses: Sequence[int]
-    ) -> List[Tuple[int, int]]:
-        """This shard's (address, port) probe list in ZMap-style
-        pseudo-random order, drawn from the shard's key-derived stream."""
+    def _scan_shard(
+        self,
+        protocol: ProtocolId,
+        shard: int,
+        addresses: Sequence[int],
+        answering: Sequence[Tuple[int, int]],
+    ) -> Tuple[List[tuple], int]:
+        """Sweep + grab one shard; returns (rows, probes sent).
+
+        ``answering`` is the shard's (address, port) targets that have a
+        listener; every other target of ``addresses`` × the protocol's
+        ports is silent.  Silent targets are handed to the fabric in one
+        call, which applies their probes' side effects when a fault
+        plan, an observer or probe loss is armed and otherwise does
+        nothing.  They count toward ``probes`` all the same: one each
+        over TCP, one per attempt over UDP, where silence exhausts every
+        retry.  Only the answering targets are permuted and probed.
+        """
         ports = DEFAULT_PORTS[protocol]
-        targets = [
-            (address, port) for address in addresses for port in ports
-        ]
+        tcp = transport_of(protocol) == TransportKind.TCP
+        attempts = 1 if tcp else 1 + max(0, self.config.udp_retries)
+        silent = len(addresses) * len(ports) - len(answering)
+        if silent:
+            self.internet.silent_probes(
+                self._source,
+                _silent_targets(addresses, ports, answering),
+                "tcp" if tcp else "udp",
+                attempts,
+            )
+        targets = list(answering)
         # ZMap permutes the address space so probes spread over the
         # network; the derived stream makes the permutation a pure
         # function of (seed, protocol, shard) — no draw-order coupling
         # between shards, so results cannot depend on thread scheduling.
         self._stream.derive(str(protocol), shard).shuffle(targets)
-        return targets
+        if tcp:
+            rows, probes = self._sweep_tcp(protocol, targets)
+        else:
+            rows, probes = self._sweep_udp(protocol, targets, attempts)
+        return rows, probes + silent * attempts
 
-    def _scan_tcp_shard(
-        self, protocol: ProtocolId, shard: int, addresses: Sequence[int]
+    def _sweep_tcp(
+        self, protocol: ProtocolId, targets: Sequence[Tuple[int, int]]
     ) -> Tuple[List[tuple], int]:
-        """Sweep + grab one TCP shard; returns (rows, probes sent)."""
+        """Connect + grab each TCP target; returns (rows, probes sent)."""
         timestamp = scan_start_day(protocol) * float(_SECONDS_PER_DAY)
         first_payload = tcp_probe_payload(protocol)
         connect = self.internet.try_tcp_connect
         source = self._source
         transport = TransportKind.TCP
         rows: List[tuple] = []
-        probes = 0
-        for address, port in self._shard_targets(protocol, shard, addresses):
-            probes += 1
+        for address, port in targets:
             connection = connect(source, address, port)
             if connection is None:
                 continue
@@ -410,21 +459,23 @@ class InternetScanner:
                     "zmap",
                 )
             )
-        return rows, probes
+        return rows, len(targets)
 
-    def _scan_udp_shard(
-        self, protocol: ProtocolId, shard: int, addresses: Sequence[int]
+    def _sweep_udp(
+        self,
+        protocol: ProtocolId,
+        targets: Sequence[Tuple[int, int]],
+        attempts: int,
     ) -> Tuple[List[tuple], int]:
-        """Probe one UDP shard with bounded retries; (rows, probes sent)."""
+        """Query each UDP target with bounded retries; (rows, probes sent)."""
         timestamp = scan_start_day(protocol) * float(_SECONDS_PER_DAY)
         payload = udp_probe_payload(protocol)
-        attempts = 1 + max(0, self.config.udp_retries)
         query = self.internet.udp_query
         source = self._source
         transport = TransportKind.UDP
         rows: List[tuple] = []
         probes = 0
-        for address, port in self._shard_targets(protocol, shard, addresses):
+        for address, port in targets:
             response: Optional[bytes] = None
             for _ in range(attempts):
                 probes += 1
@@ -515,13 +566,15 @@ class InternetScanner:
 def _scan_worker_setup(context) -> "InternetScanner":
     """Build one worker process's scanner around the shipped world copy.
 
-    Admission (blocklist + host filter) already happened in the parent —
-    shard payloads carry only admitted addresses — so the worker shell
-    needs neither; probe order and loss verdicts are pure functions of
-    (seed, protocol, shard) and the keyed flow, so a pristine world copy
-    produces exactly the parent's rows.  Shard flows are disjoint across
-    tasks (addresses partition within a protocol, ports differ across
-    protocols), so per-worker world copies cannot interact.
+    Admission (blocklist + host filter) and the answering/silent split
+    already happened in the parent — shard payloads carry only admitted
+    addresses and their answering targets — so the worker shell needs
+    neither a blocklist nor a listener index; probe order and loss
+    verdicts are pure functions of (seed, protocol, shard) and the keyed
+    flow, so a pristine world copy produces exactly the parent's rows.
+    Shard flows are disjoint across tasks (addresses partition within a
+    protocol, ports differ across protocols), so per-worker world copies
+    cannot interact.
     """
     internet, config = context
     scanner = InternetScanner.__new__(InternetScanner)
@@ -541,12 +594,22 @@ def _scan_worker_run(
     scanner: "InternetScanner", payload
 ) -> Tuple[List[tuple], int, float]:
     """Run one (protocol, shard) unit; shared by the thread/process paths."""
-    protocol, shard, addresses = payload
     started = time.perf_counter()
-    worker = (
-        scanner._scan_tcp_shard
-        if transport_of(protocol) == TransportKind.TCP
-        else scanner._scan_udp_shard
-    )
-    rows, probes = worker(protocol, shard, addresses)
+    rows, probes = scanner._scan_shard(*payload)
     return rows, probes, time.perf_counter() - started
+
+
+def _silent_targets(
+    addresses: Sequence[int],
+    ports: Sequence[int],
+    answering: Sequence[Tuple[int, int]],
+) -> Iterable[Tuple[int, int]]:
+    """The (address, port) targets of a shard that are not ``answering``.
+
+    A generator, so nothing is built unless the fabric consumes it.
+    """
+    answering = set(answering)
+    for address in addresses:
+        for port in ports:
+            if (address, port) not in answering:
+                yield address, port

@@ -143,7 +143,11 @@ class RingBuffer:
                 )
             first = max(cursor, self._start)
             items = list(self._items[first - self._start:])
-            return self._start + len(self._items), items
+            # A cursor ahead of the ring stays put: handing back the
+            # smaller total would rewind a reader that is waiting for its
+            # first item to cursor 0, which never lags, and evictions
+            # before its next read would then pass unreported.
+            return max(cursor, self._start + len(self._items)), items
 
 
 class EventBus:

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.internet.population import PopulationBuilder, PopulationConfig
+from repro.net import prng
+from repro.net.prng import RandomStream
 from repro.protocols.base import ProtocolId
 from repro.scanner.datasets import (
     CENSYS_IOT_TYPES,
     SHODAN_COVERAGE,
     SONAR_COVERAGE,
+    _bernoulli_sample,
     censys,
     project_sonar,
     shodan,
@@ -83,3 +86,20 @@ class TestProviders:
         counts = database.counts_by_protocol()
         truth = len(world.by_protocol[ProtocolId.TELNET])
         assert counts[ProtocolId.TELNET] > 0.5 * truth
+
+
+class TestBernoulliSample:
+    """The batched inclusion draw against the per-host loop it replaced."""
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    @pytest.mark.parametrize("rate", [0.027, 0.5, 1.0])
+    def test_matches_one_bernoulli_per_address(self, monkeypatch, numpy, rate):
+        if not numpy:
+            monkeypatch.setattr(prng, "_np", None)
+        addresses = list(range(1000, 1500))
+        loop = RandomStream(11, "dataset.test")
+        expected = {a for a in addresses if loop.bernoulli(rate)}
+        batch = _bernoulli_sample(
+            addresses, RandomStream(11, "dataset.test"), rate
+        )
+        assert batch == expected

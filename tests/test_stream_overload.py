@@ -150,6 +150,15 @@ class TestRingLag:
         assert cursor == 10
         assert ring.tail(cursor) == (10, [])
 
+    def test_cursor_ahead_of_ring_is_kept_so_later_evictions_lag(self):
+        ring = RingBuffer(capacity=2)
+        assert ring.tail(1) == (1, [])
+        ring.extend(range(5))
+        with pytest.raises(CursorLagError) as caught:
+            ring.tail(1)
+        assert caught.value.oldest == 3
+        assert caught.value.dropped == 2
+
 
 class TestServiceOverload:
     def test_async_campaign_matches_batch_under_block_policy(self):
